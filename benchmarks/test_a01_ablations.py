@@ -25,8 +25,8 @@ def test_a01_optimizer_ablation(benchmark):
     def measure():
         rows = []
         for label, config in (
-            ("optimize=on", EngineConfig(optimize=True)),
-            ("optimize=off", EngineConfig(optimize=False)),
+            ("optimize=on", EngineConfig(optimize=True, backend="treewalk")),
+            ("optimize=off", EngineConfig(optimize=False, backend="treewalk")),
         ):
             generator = XQueryDocumentGenerator(model, config=config)
             started = time.perf_counter()
@@ -58,8 +58,10 @@ def test_a02_compile_caching_ablation(benchmark):
     runs = 30
 
     def measure():
-        cached_engine = XQueryEngine()
-        uncached_engine = XQueryEngine(EngineConfig(compile_cache_size=0))
+        cached_engine = XQueryEngine(EngineConfig(backend="treewalk"))
+        uncached_engine = XQueryEngine(
+            EngineConfig(compile_cache_size=0, backend="treewalk")
+        )
 
         started = time.perf_counter()
         for index in range(runs):
@@ -113,7 +115,9 @@ def test_a03_export_caching_ablation(benchmark):
     runs = 3
 
     def measure():
-        backend = XQueryCalculusBackend(model)
+        backend = XQueryCalculusBackend(
+            model, engine=XQueryEngine(EngineConfig(backend="treewalk"))
+        )
         backend.export  # warm
         started = time.perf_counter()
         for _ in range(runs):
@@ -166,9 +170,11 @@ def test_a04_error_regime_ablation(benchmark):
             count_xquery_loc(read_module(name)) for name in LIBRARY_MODULES_TC
         )
 
-        values_generator = XQueryDocumentGenerator(model)
+        values_generator = XQueryDocumentGenerator(
+            model, config=EngineConfig(backend="treewalk")
+        )
         exceptions_generator = XQueryDocumentGenerator(
-            model, error_regime="exceptions"
+            model, config=EngineConfig(backend="treewalk"), error_regime="exceptions"
         )
         started = time.perf_counter()
         values_result = values_generator.generate(template)

@@ -18,9 +18,10 @@ from repro.workloads import (
     nested_input,
     xquery_chain_program,
 )
-from repro.xquery import XQueryEngine
+from repro.xquery import EngineConfig, XQueryEngine
 
-engine = XQueryEngine()
+#: the paper's period engine: a naive interpreter, pinned explicitly.
+engine = XQueryEngine(EngineConfig(backend="treewalk"))
 
 DEPTHS = [4, 16, 64]
 

@@ -14,6 +14,10 @@ import pytest
 from conftest import format_table, record_result
 from repro.docgen import NativeDocumentGenerator, XQueryDocumentGenerator
 from repro.workloads import make_it_model, toc_heavy_template
+from repro.xquery import EngineConfig
+
+#: the paper's period engine: a naive interpreter, pinned explicitly.
+TREEWALK = EngineConfig(backend="treewalk")
 
 SCALES = [(4, 4), (8, 8), (16, 12)]  # (model scale, sections)
 
@@ -32,7 +36,7 @@ def test_e04_native_single_pass(benchmark, scale, sections):
 def test_e04_xquery_five_phases(benchmark, scale, sections):
     model = make_it_model(scale=scale)
     template = toc_heavy_template(sections)
-    generator = XQueryDocumentGenerator(model)
+    generator = XQueryDocumentGenerator(model, config=TREEWALK)
     result = benchmark.pedantic(
         lambda: generator.generate(template), rounds=1, iterations=1
     )
@@ -46,7 +50,7 @@ def test_e04_bytes_copied_table(benchmark):
         for scale, sections in SCALES:
             model = make_it_model(scale=scale)
             template = toc_heavy_template(sections)
-            result = XQueryDocumentGenerator(model).generate(template)
+            result = XQueryDocumentGenerator(model, config=TREEWALK).generate(template)
             per_phase = result.metrics["bytes_per_phase"]
             final_size = per_phase["phase5_strip"]
             total = result.metrics["bytes_copied_total"]

@@ -15,6 +15,10 @@ from conftest import format_table, record_result
 from repro.docgen import NativeDocumentGenerator, XQueryDocumentGenerator
 from repro.workloads import make_it_model, table_template
 from repro.xmlio import serialize
+from repro.xquery import EngineConfig
+
+#: the paper's period engine: a naive interpreter, pinned explicitly.
+TREEWALK = EngineConfig(backend="treewalk")
 
 SIZES = [4, 10, 20]  # model scale drives rows (users) and cols (programs)
 
@@ -36,7 +40,7 @@ def test_e05_native_skeleton_fill(benchmark, scale):
 def test_e05_xquery_all_at_once(benchmark, scale):
     model = make_it_model(scale=scale)
     template = table_template("User", "Program", "uses")
-    generator = XQueryDocumentGenerator(model)
+    generator = XQueryDocumentGenerator(model, config=TREEWALK)
     result = benchmark.pedantic(
         lambda: generator.generate(template), rounds=1, iterations=1
     )
@@ -52,7 +56,7 @@ def test_e05_tables_identical_and_ratio(benchmark):
             model = make_it_model(scale=scale)
             template = table_template("User", "Program", "uses")
             native_generator = NativeDocumentGenerator(model)
-            xquery_generator = XQueryDocumentGenerator(model)
+            xquery_generator = XQueryDocumentGenerator(model, config=TREEWALK)
 
             started = time.perf_counter()
             for _ in range(5):

@@ -13,6 +13,7 @@ import pytest
 from conftest import format_table, record_json, record_result
 from repro.querycalc import XQueryCalculusBackend, parse_query_xml, run_query
 from repro.workloads import make_it_model
+from repro.xquery import EngineConfig, XQueryEngine
 
 QUERY = parse_query_xml(
     """
@@ -28,6 +29,11 @@ QUERY = parse_query_xml(
 SCALES = [8, 24, 48]
 
 
+def _treewalk():
+    """The paper's period engine: a naive interpreter, pinned explicitly."""
+    return XQueryEngine(EngineConfig(backend="treewalk"))
+
+
 @pytest.mark.parametrize("scale", SCALES)
 def test_e06_native_backend(benchmark, scale):
     model = make_it_model(scale=scale)
@@ -38,7 +44,7 @@ def test_e06_native_backend(benchmark, scale):
 @pytest.mark.parametrize("scale", SCALES)
 def test_e06_xquery_backend(benchmark, scale):
     model = make_it_model(scale=scale)
-    backend = XQueryCalculusBackend(model)
+    backend = XQueryCalculusBackend(model, engine=_treewalk())
     backend.export  # build the export outside the timed region
     result = benchmark.pedantic(lambda: backend.run(QUERY), rounds=1, iterations=1)
     assert [n.id for n in result] == [n.id for n in run_query(QUERY, model)]
@@ -49,7 +55,7 @@ def test_e06_slowdown_table(benchmark):
         rows = []
         for scale in SCALES:
             model = make_it_model(scale=scale)
-            backend = XQueryCalculusBackend(model)
+            backend = XQueryCalculusBackend(model, engine=_treewalk())
             backend.export
 
             started = time.perf_counter()

@@ -12,9 +12,10 @@ import pytest
 
 from conftest import format_table, record_result
 from repro.workloads import STRING_SET_PROGRAM, XML_SET_PROGRAM, make_values
-from repro.xquery import XQueryEngine
+from repro.xquery import EngineConfig, XQueryEngine
 
-engine = XQueryEngine()
+#: the paper's period engine: a naive interpreter, pinned explicitly.
+engine = XQueryEngine(EngineConfig(backend="treewalk"))
 SIZES = [16, 48, 96]
 
 

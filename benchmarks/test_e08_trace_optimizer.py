@@ -28,12 +28,18 @@ def test_e08_trace_visibility_matrix(benchmark):
     def measure():
         engines = {
             "galax 2004 (buggy dce)": XQueryEngine(
-                EngineConfig(optimize=True, trace_is_dead_code=True)
+                EngineConfig(
+                    optimize=True, trace_is_dead_code=True, backend="treewalk"
+                )
             ),
             "fixed optimizer": XQueryEngine(
-                EngineConfig(optimize=True, trace_is_dead_code=False)
+                EngineConfig(
+                    optimize=True, trace_is_dead_code=False, backend="treewalk"
+                )
             ),
-            "no optimizer": XQueryEngine(EngineConfig(optimize=False)),
+            "no optimizer": XQueryEngine(
+                EngineConfig(optimize=False, backend="treewalk")
+            ),
         }
         rows = []
         for name, engine in engines.items():
@@ -77,7 +83,7 @@ def make_pipeline_program(total, bug_at):
 
 @pytest.mark.parametrize("total,bug_at", [(16, 11), (64, 37), (256, 201)])
 def test_e08_error_bisection_cost(benchmark, total, bug_at):
-    engine = XQueryEngine()
+    engine = XQueryEngine(EngineConfig(backend="treewalk"))
     runner = make_probe_runner(engine, make_pipeline_program(total, bug_at))
 
     def locate():
@@ -94,7 +100,7 @@ def test_e08_bisection_runs_table(benchmark):
     def measure():
         rows = []
         for total, bug_at in [(16, 11), (64, 37), (256, 201)]:
-            engine = XQueryEngine()
+            engine = XQueryEngine(EngineConfig(backend="treewalk"))
             runner = make_probe_runner(engine, make_pipeline_program(total, bug_at))
             result = ErrorBisector(total, runner).locate()
             rows.append((total, bug_at, result.failing_step, result.runs))
@@ -114,7 +120,7 @@ def test_e08_trace_overhead_on_real_workload(benchmark):
     model = make_it_model(scale=4)
     from repro.docgen import XQueryDocumentGenerator
 
-    generator = XQueryDocumentGenerator(model)
+    generator = XQueryDocumentGenerator(model, config=EngineConfig(backend="treewalk"))
     trace = TraceLog()
 
     def run():

@@ -17,6 +17,10 @@ from conftest import format_table, record_result
 from repro.docgen import NativeDocumentGenerator, XQueryDocumentGenerator
 from repro.workloads import make_it_model, system_context_template
 from repro.workloads.loc import inventory
+from repro.xquery import EngineConfig
+
+#: the paper's period engine: a naive interpreter, pinned explicitly.
+TREEWALK = EngineConfig(backend="treewalk")
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(HERE, "..", "src", "repro")
@@ -61,7 +65,7 @@ def test_e09_end_to_end_throughput(benchmark):
             model = make_it_model(scale=scale)
             template = system_context_template()
             native_generator = NativeDocumentGenerator(model)
-            xquery_generator = XQueryDocumentGenerator(model)
+            xquery_generator = XQueryDocumentGenerator(model, config=TREEWALK)
 
             started = time.perf_counter()
             for _ in range(5):

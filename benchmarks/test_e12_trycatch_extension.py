@@ -24,9 +24,10 @@ from repro.workloads import (
     trycatch_chain_program,
     xquery_chain_program,
 )
-from repro.xquery import XQueryEngine
+from repro.xquery import EngineConfig, XQueryEngine
 
-engine = XQueryEngine()
+#: the paper's period engine: a naive interpreter, pinned explicitly.
+engine = XQueryEngine(EngineConfig(backend="treewalk"))
 DEPTHS = [8, 32]
 
 

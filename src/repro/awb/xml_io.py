@@ -156,6 +156,7 @@ class IncrementalExporter:
         self._delta_log: List[Tuple[Optional[ElementNode], Optional[ElementNode]]] = []
         self._delta_epoch = 0
         model.add_listener(self._observe)
+        self._attached = True
 
     # -- event intake -----------------------------------------------------------
 
@@ -198,8 +199,13 @@ class IncrementalExporter:
         self._needs_full = True
 
     def detach(self) -> None:
-        """Stop listening to the model (the exporter is then inert)."""
-        self.model.remove_listener(self._observe)
+        """Stop listening to the model (the exporter is then inert).
+
+        Idempotent: detaching twice removes the listener once.
+        """
+        if self._attached:
+            self.model.remove_listener(self._observe)
+            self._attached = False
 
     def stats(self) -> Dict[str, int]:
         return {

@@ -522,12 +522,17 @@ class QueryService:
         return explanation
 
     def close(self) -> None:
-        """Shut down the worker-process pool (no-op in thread mode).
+        """Detach from the model and shut down the worker-process pool.
 
-        Thread-mode services need no teardown; process-mode services own
-        real OS processes, and tests/benchmarks that create many services
-        should close them (or use the service as a context manager).
+        Every XQuery-backed service listens to its model through an
+        incremental exporter; closing removes that listener, so later
+        model writes no longer notify a discarded service.  Process-mode
+        services also own real OS processes.  Tests/benchmarks that create
+        many services should close them (or use the service as a context
+        manager).
         """
+        if self._backend is not None:
+            self._backend.close()
         if self._pool is not None:
             self._pool.close()
 

@@ -50,6 +50,10 @@ class XQueryCalculusBackend:
         self.stats_rebuilds = 0
         self.stats_deltas = 0
 
+    def close(self) -> None:
+        """Stop tracking model mutations (the export is then frozen)."""
+        self._exporter.detach()
+
     def invalidate_export(self) -> None:
         """Force a full re-export on next use (normally unnecessary: the
         exporter tracks mutations and patches affected subtrees itself)."""

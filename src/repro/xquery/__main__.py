@@ -66,8 +66,9 @@ def build_argument_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--backend",
         choices=("treewalk", "closures", "algebra"),
-        default="treewalk",
-        help="execution backend (default: treewalk, the reference interpreter)",
+        default="algebra",
+        help="execution backend (default: algebra, the plan executor with "
+        "closure-compiled fallback; treewalk is the reference interpreter)",
     )
     parser.add_argument(
         "--explain",
@@ -144,7 +145,7 @@ def main(argv=None) -> int:
             else:
                 explanation = query.algebra.explain()
                 if explanation["fallback"]:
-                    print("(whole query falls back to the treewalk evaluator)")
+                    print("(whole query falls back to closure-compiled code)")
                 print(explanation["text"])
         except XQueryError as error:
             print(str(error), file=sys.stderr)

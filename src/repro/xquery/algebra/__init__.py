@@ -7,8 +7,8 @@ the third execution backend, ``EngineConfig(backend="algebra")``:
 
 * :mod:`.lowering` turns the parsed AST into a small logical algebra
   (index scans, twig hash joins, select/project, order-by, FLWOR tuple
-  sources), falling back to the tree-walking evaluator for anything
-  outside the fragment;
+  sources), falling back to closure-compiled code (the closure backend's
+  compiler) for anything outside the fragment;
 * :mod:`.optimize` is the rewrite/cost pass, fed by a
   :class:`~.stats.StatisticsCatalog` collected at export time;
 * :mod:`.executor` interprets plans set-at-a-time, producing bit-identical
@@ -24,8 +24,9 @@ import threading
 from typing import Dict, Optional, Tuple
 
 from .. import ast
+from ..compiler import Thunk, _Compiler
 from ..context import DynamicContext, EngineConfig
-from ..evaluator import evaluate
+from ..evaluator import evaluate  # noqa: F401  (instrumentation hook: xqbench wraps it)
 from .executor import ExecState, SharedEvalCache, execute_plan
 from .lowering import Lowerer
 from .optimize import optimize_plan
@@ -51,6 +52,10 @@ class AlgebraProgram:
     runs.  Re-optimization happens when a run supplies a different
     statistics catalog; every optimizer decision is semantics-preserving,
     so executions racing a re-optimization stay correct.
+
+    Every :class:`~.plans.EvalPlan` leaf runs a closure compiled by one
+    per-program compiler, built only when the plan has such a leaf or the
+    prolog declares a global; user-function bodies compile on first call.
     """
 
     def __init__(
@@ -65,10 +70,22 @@ class AlgebraProgram:
         self.plan: Plan = Lowerer(functions, config).lower(module.body)
         #: whole-body fallback: nothing in the query lowered to algebra.
         self.trivial = isinstance(self.plan, EvalPlan)
+        leaves = _eval_leaves(self.plan)
+        #: closures for the prolog's declared globals, the same contract as
+        #: ``CompiledProgram.variable_values``.
+        self.variable_values: Dict[str, Thunk] = {}
+        if leaves or any(d.value is not None for d in module.variables):
+            compiler = _Compiler(functions, config)
+            for leaf in leaves:
+                leaf.thunk = compiler.compile(leaf.expr)
+            self.variable_values = compiler.compile_globals(module)
         self._optimize_lock = threading.Lock()
         self._optimized_for: Optional[StatisticsCatalog] = None
         self._occurrences: Optional[Dict[int, str]] = None
-        self.optimize_for(None)
+        if not self.trivial:
+            # a lone fallback leaf has nothing to optimize; explain() still
+            # annotates it on demand.
+            self.optimize_for(None)
 
     # -- optimization -----------------------------------------------------
 
@@ -131,9 +148,9 @@ class AlgebraProgram:
         shared_cache: Optional[SharedEvalCache] = None,
     ):
         if self.trivial:
-            # the whole body fell back: run the reference evaluator with no
+            # the whole body fell back: run its closure with no
             # plan-interpretation overhead at all.
-            return evaluate(self.module.body, ctx)
+            return self.plan.thunk(ctx)
         plan = self.optimize_for(statistics)
         return execute_plan(plan, ctx, {}, ExecState(shared_cache))
 
@@ -154,3 +171,15 @@ class AlgebraProgram:
 
     def explain_json(self, statistics: Optional[StatisticsCatalog] = None) -> str:
         return json.dumps(self.explain(statistics), indent=2, sort_keys=True)
+
+
+def _eval_leaves(plan: Plan) -> list:
+    """Every :class:`EvalPlan` leaf under *plan*."""
+    leaves = []
+    stack = [plan]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, EvalPlan):
+            leaves.append(node)
+        stack.extend(child for child in node.children() if child is not None)
+    return leaves

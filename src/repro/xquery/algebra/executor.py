@@ -18,7 +18,9 @@ sources, each individually proven equivalent:
   once.
 
 Anything the lowering could not prove safe sits in an ``EvalPlan`` leaf and
-runs on the reference evaluator with the exact same dynamic context.
+runs as closure-compiled code (the closure backend's compiler, held
+bit-identical to the reference evaluator) with the exact same dynamic
+context.
 """
 
 from __future__ import annotations
@@ -138,10 +140,6 @@ class ExecState:
         #: (op identity, build identity, probe key) -> match list, for
         #: single-key probes whose residual is tuple-independent.
         self.probes: Dict[tuple, list] = {}
-        #: id(node) -> (node, [root]): fn:root is pure per node, and join
-        #: scans anchored on root($n) re-resolve it once per tuple — the
-        #: node reference in the value pins the id against reuse.
-        self.roots: Dict[int, tuple] = {}
 
 
 def execute_plan(plan: Plan, ctx: DynamicContext, bindings: dict, state: ExecState):
@@ -153,7 +151,7 @@ def execute_plan(plan: Plan, ctx: DynamicContext, bindings: dict, state: ExecSta
 
 def _exec_eval(plan: EvalPlan, ctx, bindings, state):
     scope = ctx.with_variables(bindings) if bindings else ctx
-    return evaluate(plan.expr, scope)
+    return plan.thunk(scope)
 
 
 def _exec_literal(plan: LiteralPlan, ctx, bindings, state):
@@ -469,6 +467,7 @@ def _exec_filter(plan: FilterPlan, ctx, bindings, state):
 def _exec_flwor(plan: FLWORPlan, ctx, bindings, state):
     tuples: List[dict] = [dict(bindings)]
     invariants: Dict[int, list] = {}
+    check_deadline = ctx.deadline is not None
     for op in plan.ops:
         ctx.check_deadline()
         if isinstance(op, ForOp):
@@ -477,6 +476,8 @@ def _exec_flwor(plan: FLWORPlan, ctx, bindings, state):
             tuples = _expand_join_op(op, tuples, ctx, state)
         elif isinstance(op, LetOp):
             for tuple_bindings in tuples:
+                if check_deadline:
+                    ctx.check_deadline()
                 value = execute_plan(op.value, ctx, tuple_bindings, state)
                 declared = op.declared_type
                 if declared is not None and not declared.matches(value):
@@ -489,20 +490,21 @@ def _exec_flwor(plan: FLWORPlan, ctx, bindings, state):
                     )
                 tuple_bindings[op.var] = value
         elif isinstance(op, WhereOp):
-            tuples = [
-                tuple_bindings
-                for tuple_bindings in tuples
+            kept = []
+            for tuple_bindings in tuples:
+                if check_deadline:
+                    ctx.check_deadline()
                 if ebv(
                     execute_plan(op.condition, ctx, tuple_bindings, state),
                     op.condition_expr,
                     ctx,
-                )
-            ]
+                ):
+                    kept.append(tuple_bindings)
+            tuples = kept
         elif isinstance(op, OrderOp):
             tuples = _order_tuples_op(op, tuples, ctx, state)
     result: list = []
     result_plan = plan.result
-    check_deadline = ctx.deadline is not None
     for tuple_bindings in tuples:
         if check_deadline:
             ctx.check_deadline()
@@ -535,7 +537,10 @@ def _expand_for_op(op: ForOp, tuples, ctx, state, invariants):
 
 def _order_tuples_op(op: OrderOp, tuples, ctx, state):
     decorated = []
+    check_deadline = ctx.deadline is not None
     for index, tuple_bindings in enumerate(tuples):
+        if check_deadline:
+            ctx.check_deadline()
         keys = tuple(
             _OrderKey(
                 execute_plan(key_plan, ctx, tuple_bindings, state),

@@ -3,10 +3,11 @@
 The algebra is deliberately small: it covers the FLWOR/path fragment that
 Koch's complexity results single out as polynomial when evaluated
 set-at-a-time, and every construct outside the fragment appears as an
-:class:`EvalPlan` leaf that delegates to the tree-walking evaluator.  That
-delegation rule is what keeps the backend *exactly* faithful to the
-reference semantics — the plan layer only specializes shapes it can prove
-equivalent, and the differential fuzzer holds it to that.
+:class:`EvalPlan` leaf that delegates to the closure compiler, whose output
+is held bit-identical to the tree-walking evaluator.  That delegation rule
+is what keeps the backend *exactly* faithful to the reference semantics —
+the plan layer only specializes shapes it can prove equivalent, and the
+differential fuzzer holds it to that.
 
 Plan nodes are declarative: lowering builds them, ``optimize`` annotates
 and reorders them, and :mod:`.executor` interprets them.  Every node knows
@@ -210,14 +211,19 @@ class Plan:
 
 
 class EvalPlan(Plan):
-    """Fallback leaf: the subtree is evaluated by the treewalk backend."""
+    """Fallback leaf: the subtree runs as closure-compiled code.
 
-    __slots__ = ("expr", "note")
+    ``thunk`` is the subtree compiled by the closure backend's compiler;
+    :class:`~repro.xquery.algebra.AlgebraProgram` sets it after lowering.
+    """
+
+    __slots__ = ("expr", "note", "thunk")
 
     def __init__(self, expr: ast.Expr, note: str = ""):
         super().__init__()
         self.expr = expr
         self.note = note
+        self.thunk = None
 
     def label(self) -> str:
         what = type(self.expr).__name__

@@ -235,25 +235,31 @@ class CompiledQuery:
         provided = {
             name: _coerce_sequence(value) for name, value in (variables or {}).items()
         }
-        program = self.closures if backend == "closures" else None
+        program = None
+        if backend == "algebra":
+            program = self.algebra
+        elif backend == "closures":
+            program = self.closures
         with extended_stack():
             self._bind_globals(ctx, provided, program)
             if context_item is not None:
                 ctx = ctx.with_focus(context_item, 1, 1)
-            if program is not None:
-                return program.body(ctx)
             if backend == "algebra":
-                return self.algebra.run(
+                return program.run(
                     ctx, statistics=statistics, shared_cache=algebra_cache
                 )
+            if program is not None:
+                return program.body(ctx)
             return evaluate(self.module.body, ctx)
 
     def _bind_globals(
         self,
         ctx: DynamicContext,
         provided: Dict[str, Sequence],
-        program: Optional[CompiledProgram] = None,
+        program=None,
     ) -> None:
+        """Bind the prolog's globals; declared values run on *program*'s
+        ``variable_values`` closures when given, else on the treewalk."""
         for declaration in self.module.variables:
             if declaration.value is None:
                 if declaration.name not in provided:

@@ -76,14 +76,8 @@ class CompiledProgram:
         config: EngineConfig,
     ):
         compiler = _Compiler(functions, config)
-        for key, declaration in functions.items():
-            compiler.add_function(key, declaration)
         #: closures for the prolog's *declared* (non-external) variables.
-        self.variable_values: Dict[str, Thunk] = {
-            declaration.name: compiler.compile(declaration.value)
-            for declaration in module.variables
-            if declaration.value is not None
-        }
+        self.variable_values: Dict[str, Thunk] = compiler.compile_globals(module)
         self.body: Thunk = compiler.compile(module.body)
 
 
@@ -206,6 +200,24 @@ def _apply_step(thunk: Thunk, context_items: Sequence, ctx: DynamicContext) -> S
     return results
 
 
+class _FunctionBodies(dict):
+    """``(name, arity) -> compiled body``, compiling a body on first lookup.
+
+    Racing first calls may both compile; the first stored thunk wins and
+    the two are interchangeable anyway.
+    """
+
+    __slots__ = ("_compiler",)
+
+    def __init__(self, compiler: "_Compiler"):
+        super().__init__()
+        self._compiler = compiler
+
+    def __missing__(self, key: Tuple[str, int]) -> Thunk:
+        compiler = self._compiler
+        return self.setdefault(key, compiler.compile(compiler.functions[key].body))
+
+
 class _Compiler:
     """Compiles AST nodes to thunks; one instance per program."""
 
@@ -217,11 +229,17 @@ class _Compiler:
         self.functions = functions
         self.config = config
         #: compiled user-function bodies, looked up at call time so
-        #: (mutually) recursive declarations compile in any order.
-        self.function_bodies: Dict[Tuple[str, int], Thunk] = {}
+        #: (mutually) recursive declarations work; each body compiles on
+        #: its first call, so never-called functions cost nothing.
+        self.function_bodies: Dict[Tuple[str, int], Thunk] = _FunctionBodies(self)
 
-    def add_function(self, key: Tuple[str, int], declaration: ast.FunctionDecl) -> None:
-        self.function_bodies[key] = self.compile(declaration.body)
+    def compile_globals(self, module: ast.Module) -> Dict[str, Thunk]:
+        """Closures for the prolog's declared (non-external) variables."""
+        return {
+            declaration.name: self.compile(declaration.value)
+            for declaration in module.variables
+            if declaration.value is not None
+        }
 
     def compile(self, expr: ast.Expr) -> Thunk:
         method = _COMPILE.get(type(expr))

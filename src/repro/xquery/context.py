@@ -33,12 +33,14 @@ class EngineConfig:
         Guard for runaway recursive user functions.
     ``backend``
         Which execution backend ``CompiledQuery.run`` uses by default:
-        ``"treewalk"`` (the period-accurate reference interpreter),
-        ``"closures"`` (the closure-compiling backend, same semantics,
-        several times faster), or ``"algebra"`` (the set-at-a-time plan
-        executor with index scans and hash joins; see
-        :mod:`repro.xquery.algebra`).  Parity across all three is asserted
-        by ``tests/test_backend_parity.py`` and the differential fuzzer.
+        ``"algebra"`` (the default: the set-at-a-time plan executor with
+        index scans and hash joins, running everything outside its
+        fragment as closure-compiled code; see :mod:`repro.xquery.algebra`),
+        ``"closures"`` (the closure-compiling backend alone), or
+        ``"treewalk"`` (the period-accurate reference interpreter, which
+        the paper-reproduction benchmarks pin explicitly).  Parity across
+        all three is asserted by ``tests/test_backend_parity.py`` and the
+        differential fuzzer.
     ``compile_cache_size``
         Maximum number of compiled queries the engine's LRU compile cache
         retains; ``0`` disables caching entirely.
@@ -65,7 +67,7 @@ class EngineConfig:
     trace_is_dead_code: bool = False
     max_recursion_depth: int = 2000
     type_check_calls: bool = True
-    backend: str = "treewalk"
+    backend: str = "algebra"
     compile_cache_size: int = 128
     lint: str = "off"
     lint_schema: str = "awb"

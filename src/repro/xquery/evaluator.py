@@ -399,12 +399,15 @@ def _apply_step(
 
 def _eval_flwor(expr: ast.FLWOR, ctx: DynamicContext) -> Sequence:
     tuples: List[Dict[str, Sequence]] = [dict()]
+    check_deadline = ctx.deadline is not None
     for clause in expr.clauses:
         ctx.check_deadline()
         if isinstance(clause, ast.ForClause):
             tuples = _expand_for(clause, tuples, ctx)
         elif isinstance(clause, ast.LetClause):
             for bindings in tuples:
+                if check_deadline:
+                    ctx.check_deadline()
                 scope = ctx.with_variables(bindings)
                 value = evaluate(clause.value, scope)
                 if clause.declared_type is not None and not clause.declared_type.matches(value):
@@ -419,6 +422,8 @@ def _eval_flwor(expr: ast.FLWOR, ctx: DynamicContext) -> Sequence:
         elif isinstance(clause, ast.WhereClause):
             kept = []
             for bindings in tuples:
+                if check_deadline:
+                    ctx.check_deadline()
                 scope = ctx.with_variables(bindings)
                 if ebv(evaluate(clause.condition, scope), clause.condition, ctx):
                     kept.append(bindings)
@@ -426,7 +431,6 @@ def _eval_flwor(expr: ast.FLWOR, ctx: DynamicContext) -> Sequence:
         elif isinstance(clause, ast.OrderByClause):
             tuples = _order_tuples(clause, tuples, ctx)
     result: Sequence = []
-    check_deadline = ctx.deadline is not None
     for bindings in tuples:
         if check_deadline:
             ctx.check_deadline()
@@ -509,7 +513,10 @@ def _order_tuples(
     ctx: DynamicContext,
 ) -> List[Dict[str, Sequence]]:
     decorated = []
+    check_deadline = ctx.deadline is not None
     for index, bindings in enumerate(tuples):
+        if check_deadline:
+            ctx.check_deadline()
         scope = ctx.with_variables(bindings)
         keys = tuple(
             _OrderKey(evaluate(spec.key, scope), spec.descending, spec.empty_least)

@@ -196,6 +196,31 @@ class TestMetricsAndStats:
         assert stats["subtree_exports"] == 1
 
 
+class TestClose:
+    def test_close_detaches_the_model_listener(self, model):
+        before = len(model._listeners)
+        service = QueryService(model)
+        assert len(model._listeners) == before + 1
+        service.close()
+        assert len(model._listeners) == before
+        service.close()  # idempotent
+        assert len(model._listeners) == before
+
+    def test_context_exit_detaches_and_writes_stay_local(self, model):
+        before = len(model._listeners)
+        with QueryService(model) as service:
+            service.run(parse_query_xml(ALL_USERS))
+        assert len(model._listeners) == before
+        # a write after close no longer reaches the discarded exporter
+        model.nodes_of_type("User")[0].set("firstName", "After")
+        assert not service._backend._exporter._has_pending()
+
+    def test_native_backend_close_is_harmless(self, model):
+        before = len(model._listeners)
+        QueryService(model, backend="native").close()
+        assert len(model._listeners) == before
+
+
 class TestPlanAndResultCacheUnits:
     def test_plan_cache_lru_eviction(self):
         cache = PlanCache(maxsize=2)
