@@ -134,9 +134,10 @@ class QueryService:
         self.faults = fault_injector
         if backend == "xquery":
             # the algebra backend is the default cold path: set-at-a-time
-            # plans with hash joins, falling back to the reference
-            # evaluator per-subtree (and wholesale, via _execute's retry,
-            # on any internal error).
+            # plans with hash joins, running closure-compiled code for any
+            # subtree outside the lowered fragment (and the reference
+            # evaluator wholesale, via _execute's retry, on any internal
+            # error).
             self.engine = engine or XQueryEngine(EngineConfig(backend="algebra"))
             self._backend = XQueryCalculusBackend(model, engine=self.engine)
         else:
@@ -169,6 +170,9 @@ class QueryService:
         self._errors_by_kind: Dict[str, int] = {}
         self._shed = 0
         self._routes: Dict[str, int] = {}
+        #: set by close(): a closed service no longer tracks the model, so it
+        #: refuses further work rather than answer from a stale export.
+        self._closed = False
         # -- the shared-nothing serving tier (mode="process") --------------
         self._pool = None
         self.partition = partition
@@ -202,6 +206,7 @@ class QueryService:
         that want errors as values use :meth:`run_batch` — but are still
         recorded in :meth:`metrics` first.
         """
+        self._check_open()
         started = time.perf_counter()
         deadline = self._deadline(timeout)
         plan_key: Optional[str] = None
@@ -256,6 +261,7 @@ class QueryService:
         that would start after it expires fail fast with kind
         ``timeout``.
         """
+        self._check_open()
         started = time.perf_counter()
         queries = list(queries)
         if not queries:
@@ -409,6 +415,7 @@ class QueryService:
         Returns a summary: statements applied, the footprint, per-entry
         propagation counts, and the new generation.
         """
+        self._check_open()
         from ...xquery.updates.apply import apply_script
 
         with self._export_lock:
@@ -501,6 +508,7 @@ class QueryService:
         catalog) plus the generated source; the native backend has no plan
         beyond the normalized query text.
         """
+        self._check_open()
         plan = self._plan(query)
         if plan.backend == "native":
             return {"backend": "native", "plan_key": plan.key}
@@ -529,8 +537,10 @@ class QueryService:
         model writes no longer notify a discarded service.  Process-mode
         services also own real OS processes.  Tests/benchmarks that create
         many services should close them (or use the service as a context
-        manager).
+        manager).  Running queries or updates on a closed service raises
+        ``RuntimeError``.
         """
+        self._closed = True
         if self._backend is not None:
             self._backend.close()
         if self._pool is not None:
@@ -630,6 +640,10 @@ class QueryService:
         }
 
     # -- internals --------------------------------------------------------------
+
+    def _check_open(self) -> None:
+        if self._closed:
+            raise RuntimeError("QueryService is closed")
 
     def _deadline(self, timeout: Optional[float]) -> Optional[Deadline]:
         timeout = timeout if timeout is not None else self.default_timeout

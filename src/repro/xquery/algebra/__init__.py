@@ -70,7 +70,7 @@ class AlgebraProgram:
         self.plan: Plan = Lowerer(functions, config).lower(module.body)
         #: whole-body fallback: nothing in the query lowered to algebra.
         self.trivial = isinstance(self.plan, EvalPlan)
-        leaves = _eval_leaves(self.plan)
+        leaves = [node for node in _walk(self.plan) if isinstance(node, EvalPlan)]
         #: closures for the prolog's declared globals, the same contract as
         #: ``CompiledProgram.variable_values``.
         self.variable_values: Dict[str, Thunk] = {}
@@ -102,9 +102,7 @@ class AlgebraProgram:
             from ..analysis.types import TypeAnalyzer, occurrence_indicator
 
             targets = set()
-            stack = [self.plan]
-            while stack:
-                plan = stack.pop()
+            for plan in _walk(self.plan):
                 expr = getattr(plan, "expr", None)
                 if expr is not None:
                     targets.add(id(expr))
@@ -114,7 +112,6 @@ class AlgebraProgram:
                         sub = getattr(clause, attr, None)
                         if sub is not None:
                             targets.add(id(sub))
-                stack.extend(child for child in plan.children() if child is not None)
             analyzer = TypeAnalyzer(self.module)
             body_env, function_envs = module_environments(self.module, analyzer)
             occurrences: Dict[int, str] = {}
@@ -173,13 +170,10 @@ class AlgebraProgram:
         return json.dumps(self.explain(statistics), indent=2, sort_keys=True)
 
 
-def _eval_leaves(plan: Plan) -> list:
-    """Every :class:`EvalPlan` leaf under *plan*."""
-    leaves = []
+def _walk(plan: Plan):
+    """Every node of the plan tree under *plan*, *plan* included."""
     stack = [plan]
     while stack:
         node = stack.pop()
-        if isinstance(node, EvalPlan):
-            leaves.append(node)
+        yield node
         stack.extend(child for child in node.children() if child is not None)
-    return leaves

@@ -36,7 +36,7 @@ from ...xdm import (
     sort_document_order,
 )
 from .. import ast
-from ..context import DynamicContext
+from ..context import DynamicContext, bare_after, tuple_scope
 from ..evaluator import (
     _apply_predicates,
     _axis_candidates,
@@ -465,20 +465,30 @@ def _exec_filter(plan: FilterPlan, ctx, bindings, state):
 
 
 def _exec_flwor(plan: FLWORPlan, ctx, bindings, state):
+    # binding tuples hold `for`/`at` variables bare (see context.tuple_scope);
+    # every plan below runs on the tuple's scope.
     tuples: List[dict] = [dict(bindings)]
+    bare: Tuple[str, ...] = ()
     invariants: Dict[int, list] = {}
     check_deadline = ctx.deadline is not None
     for op in plan.ops:
         ctx.check_deadline()
-        if isinstance(op, ForOp):
-            tuples = _expand_for_op(op, tuples, ctx, state, invariants)
-        elif isinstance(op, ForJoinOp):
-            tuples = _expand_join_op(op, tuples, ctx, state)
+        if isinstance(op, (ForOp, ForJoinOp)):
+            if isinstance(op, ForOp):
+                tuples = _expand_for_op(op, tuples, bare, ctx, state, invariants)
+            else:
+                tuples = _expand_join_op(op, tuples, bare, ctx, state)
+            bound = (op.var,)
+            if op.position_var is not None:
+                bound += (op.position_var,)
+            bare = bare_after(bare, bound, True)
         elif isinstance(op, LetOp):
             for tuple_bindings in tuples:
                 if check_deadline:
                     ctx.check_deadline()
-                value = execute_plan(op.value, ctx, tuple_bindings, state)
+                value = execute_plan(
+                    op.value, ctx, tuple_scope(tuple_bindings, bare), state
+                )
                 declared = op.declared_type
                 if declared is not None and not declared.matches(value):
                     raise _error(
@@ -489,30 +499,35 @@ def _exec_flwor(plan: FLWORPlan, ctx, bindings, state):
                         "XPTY0004",
                     )
                 tuple_bindings[op.var] = value
+            bare = bare_after(bare, (op.var,), False)
         elif isinstance(op, WhereOp):
             kept = []
             for tuple_bindings in tuples:
                 if check_deadline:
                     ctx.check_deadline()
                 if ebv(
-                    execute_plan(op.condition, ctx, tuple_bindings, state),
+                    execute_plan(
+                        op.condition, ctx, tuple_scope(tuple_bindings, bare), state
+                    ),
                     op.condition_expr,
                     ctx,
                 ):
                     kept.append(tuple_bindings)
             tuples = kept
         elif isinstance(op, OrderOp):
-            tuples = _order_tuples_op(op, tuples, ctx, state)
+            tuples = _order_tuples_op(op, tuples, bare, ctx, state)
     result: list = []
     result_plan = plan.result
     for tuple_bindings in tuples:
         if check_deadline:
             ctx.check_deadline()
-        result.extend(execute_plan(result_plan, ctx, tuple_bindings, state))
+        result.extend(
+            execute_plan(result_plan, ctx, tuple_scope(tuple_bindings, bare), state)
+        )
     return result
 
 
-def _expand_for_op(op: ForOp, tuples, ctx, state, invariants):
+def _expand_for_op(op: ForOp, tuples, bare, ctx, state, invariants):
     expanded = []
     check_deadline = ctx.deadline is not None
     var, position_var = op.var, op.position_var
@@ -522,28 +537,33 @@ def _expand_for_op(op: ForOp, tuples, ctx, state, invariants):
             ctx.check_deadline()
         if op.invariant:
             if source is _UNSET:
-                source = execute_plan(op.source, ctx, tuple_bindings, state)
+                source = execute_plan(
+                    op.source, ctx, tuple_scope(tuple_bindings, bare), state
+                )
                 invariants[id(op)] = source
         else:
-            source = execute_plan(op.source, ctx, tuple_bindings, state)
+            source = execute_plan(
+                op.source, ctx, tuple_scope(tuple_bindings, bare), state
+            )
         for position, item in enumerate(source, start=1):
             new_bindings = dict(tuple_bindings)
-            new_bindings[var] = [item]
+            new_bindings[var] = item
             if position_var is not None:
-                new_bindings[position_var] = [position]
+                new_bindings[position_var] = position
             expanded.append(new_bindings)
     return expanded
 
 
-def _order_tuples_op(op: OrderOp, tuples, ctx, state):
+def _order_tuples_op(op: OrderOp, tuples, bare, ctx, state):
     decorated = []
     check_deadline = ctx.deadline is not None
     for index, tuple_bindings in enumerate(tuples):
         if check_deadline:
             ctx.check_deadline()
+        scope = tuple_scope(tuple_bindings, bare)
         keys = tuple(
             _OrderKey(
-                execute_plan(key_plan, ctx, tuple_bindings, state),
+                execute_plan(key_plan, ctx, scope, state),
                 descending,
                 empty_least,
             )
@@ -683,7 +703,7 @@ def _join_build(op: ForJoinOp, ctx, tuple_bindings, state) -> _JoinBuild:
     return build
 
 
-def _expand_join_op(op: ForJoinOp, tuples, ctx, state):
+def _expand_join_op(op: ForJoinOp, tuples, bare, ctx, state):
     expanded = []
     check_deadline = ctx.deadline is not None
     var, position_var = op.var, op.position_var
@@ -714,9 +734,10 @@ def _expand_join_op(op: ForJoinOp, tuples, ctx, state):
     builds = state.join_builds
     last_root_id = None
     last_build = None
-    for tuple_bindings in tuples:
+    for stored in tuples:
         if check_deadline:
             ctx.check_deadline()
+        tuple_bindings = tuple_scope(stored, bare)
         build = None
         if base_var is not None:
             value = tuple_bindings.get(base_var)
@@ -757,10 +778,10 @@ def _expand_join_op(op: ForJoinOp, tuples, ctx, state):
         if matches is None:
             matches = _probe_join(op, build, ctx, tuple_bindings, state)
         for position, item in enumerate(matches, start=1):
-            new_bindings = dict(tuple_bindings)
-            new_bindings[var] = [item]
+            new_bindings = dict(stored)
+            new_bindings[var] = item
             if position_var is not None:
-                new_bindings[position_var] = [position]
+                new_bindings[position_var] = position
             expanded.append(new_bindings)
     return expanded
 

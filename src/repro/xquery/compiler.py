@@ -44,7 +44,7 @@ from ..xdm import (
     value_compare,
 )
 from . import ast
-from .context import DynamicContext, EngineConfig
+from .context import DynamicContext, EngineConfig, bare_after
 from .errors import XQueryDynamicError, XQueryTypeError
 from .evaluator import (
     _OrderKey,
@@ -886,56 +886,65 @@ class _Compiler:
     # -- FLWOR, quantifiers, conditionals -----------------------------------
 
     def _flwor(self, expr: ast.FLWOR) -> Thunk:
+        # binding tuples hold `for`/`at` variables bare (see
+        # context.tuple_scope); each clause carries the bare names it sees.
         compiled_clauses: List[tuple] = []
+        bare: Tuple[str, ...] = ()
         for clause in expr.clauses:
             if isinstance(clause, ast.ForClause):
                 compiled_clauses.append(
-                    ("for", clause.var, clause.position_var, self.compile(clause.source))
+                    ("for", bare, clause.var, clause.position_var, self.compile(clause.source))
                 )
+                bound = (clause.var,)
+                if clause.position_var is not None:
+                    bound += (clause.position_var,)
+                bare = bare_after(bare, bound, True)
             elif isinstance(clause, ast.LetClause):
                 compiled_clauses.append(
-                    ("let", clause.var, clause.declared_type, self.compile(clause.value))
+                    ("let", bare, clause.var, clause.declared_type, self.compile(clause.value))
                 )
+                bare = bare_after(bare, (clause.var,), False)
             elif isinstance(clause, ast.WhereClause):
                 compiled_clauses.append(
-                    ("where", self._compile_ebv(clause.condition))
+                    ("where", bare, self._compile_ebv(clause.condition))
                 )
             elif isinstance(clause, ast.OrderByClause):
                 specs = tuple(
                     (self.compile(spec.key), spec.descending, spec.empty_least)
                     for spec in clause.specs
                 )
-                compiled_clauses.append(("order", specs))
+                compiled_clauses.append(("order", bare, specs))
         result_thunk = self.compile(expr.result)
+        result_bare = bare
 
         def run(ctx: DynamicContext) -> Sequence:
             check_deadline = ctx.deadline is not None
-            tuples: List[Dict[str, Sequence]] = [dict()]
+            tuples: List[Dict[str, object]] = [dict()]
             for compiled in compiled_clauses:
                 if check_deadline:
                     ctx.check_deadline()
-                kind = compiled[0]
+                kind, bare = compiled[0], compiled[1]
                 if kind == "for":
-                    _, var, position_var, source_thunk = compiled
+                    _, _, var, position_var, source_thunk = compiled
                     expanded = []
                     for bindings in tuples:
                         if check_deadline:
                             ctx.check_deadline()
-                        scope = ctx.with_variables(bindings)
+                        scope = ctx.with_tuple(bindings, bare)
                         source = source_thunk(scope)
                         for position, item in enumerate(source, start=1):
                             new_bindings = dict(bindings)
-                            new_bindings[var] = [item]
+                            new_bindings[var] = item
                             if position_var is not None:
-                                new_bindings[position_var] = [position]
+                                new_bindings[position_var] = position
                             expanded.append(new_bindings)
                     tuples = expanded
                 elif kind == "let":
-                    _, var, declared_type, value_thunk = compiled
+                    _, _, var, declared_type, value_thunk = compiled
                     for bindings in tuples:
                         if check_deadline:
                             ctx.check_deadline()
-                        scope = ctx.with_variables(bindings)
+                        scope = ctx.with_tuple(bindings, bare)
                         value = value_thunk(scope)
                         if declared_type is not None and not declared_type.matches(value):
                             raise _error(
@@ -947,27 +956,27 @@ class _Compiler:
                             )
                         bindings[var] = value
                 elif kind == "where":
-                    _, condition_test = compiled
+                    condition_test = compiled[2]
                     if check_deadline:
                         kept = []
                         for bindings in tuples:
                             ctx.check_deadline()
-                            if condition_test(ctx.with_variables(bindings)):
+                            if condition_test(ctx.with_tuple(bindings, bare)):
                                 kept.append(bindings)
                         tuples = kept
                     else:
                         tuples = [
                             bindings
                             for bindings in tuples
-                            if condition_test(ctx.with_variables(bindings))
+                            if condition_test(ctx.with_tuple(bindings, bare))
                         ]
                 else:  # order
-                    _, specs = compiled
+                    specs = compiled[2]
                     decorated = []
                     for index, bindings in enumerate(tuples):
                         if check_deadline:
                             ctx.check_deadline()
-                        scope = ctx.with_variables(bindings)
+                        scope = ctx.with_tuple(bindings, bare)
                         keys = tuple(
                             _OrderKey(key_thunk(scope), descending, empty_least)
                             for key_thunk, descending, empty_least in specs
@@ -979,7 +988,7 @@ class _Compiler:
             for bindings in tuples:
                 if check_deadline:
                     ctx.check_deadline()
-                scope = ctx.with_variables(bindings)
+                scope = ctx.with_tuple(bindings, result_bare)
                 result.extend(result_thunk(scope))
             return result
 

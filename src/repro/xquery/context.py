@@ -176,6 +176,17 @@ class DynamicContext:
         child.variables.update(new_bindings)
         return child
 
+    def with_tuple(
+        self, bindings: Dict[str, object], bare: Tuple[str, ...]
+    ) -> "DynamicContext":
+        """A child context binding one FLWOR tuple (see :func:`tuple_scope`)."""
+        child = self._clone()
+        child.variables = variables = dict(self.variables)
+        variables.update(bindings)
+        for name in bare:
+            variables[name] = [variables[name]]
+        return child
+
     def with_focus(self, item, position: int, size: int) -> "DynamicContext":
         """A child context with a new focus (context item / position / size)."""
         child = self._clone()
@@ -213,3 +224,33 @@ class DynamicContext:
         child.depth = self.depth
         child.deadline = self.deadline
         return child
+
+
+# -- FLWOR binding tuples ------------------------------------------------------
+#
+# A FLWOR materializes one binding tuple per iteration, often tens of
+# thousands of them.  A tuple keeps each `for`/`at` variable as its bare item
+# rather than a one-item list: a dict whose values are all atomic is not
+# tracked by Python's cyclic garbage collector, so tuples over atomic items
+# add nothing to its work.  With a list per variable every tuple added two
+# tracked objects, and a 90k-tuple FLWOR set off full collections of 40-100
+# ms each in the middle of the loop, where no deadline check can interrupt
+# them.  The *bare* names of a clause say which variables are stored so.
+
+
+def tuple_scope(bindings: Dict[str, object], bare: Tuple[str, ...]) -> Dict[str, Sequence]:
+    """The variable bindings of one FLWOR tuple, every value a sequence."""
+    if not bare:
+        return bindings
+    scope = dict(bindings)
+    for name in bare:
+        scope[name] = [scope[name]]
+    return scope
+
+
+def bare_after(
+    bare: Tuple[str, ...], bound: Tuple[str, ...], stored_bare: bool
+) -> Tuple[str, ...]:
+    """The bare names once a clause binds *bound*, bare or as sequences."""
+    kept = tuple(name for name in bare if name not in bound)
+    return kept + tuple(dict.fromkeys(bound)) if stored_bare else kept

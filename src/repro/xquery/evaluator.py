@@ -35,7 +35,7 @@ from ..xdm import (
 )
 from ..xdm.compare import nodes_before
 from . import ast
-from .context import DynamicContext
+from .context import DynamicContext, bare_after
 from .errors import (
     XQueryDynamicError,
     XQueryTypeError,
@@ -398,17 +398,23 @@ def _apply_step(
 
 
 def _eval_flwor(expr: ast.FLWOR, ctx: DynamicContext) -> Sequence:
-    tuples: List[Dict[str, Sequence]] = [dict()]
+    # binding tuples hold `for`/`at` variables bare (see context.tuple_scope).
+    tuples: List[Dict[str, object]] = [dict()]
+    bare: Tuple[str, ...] = ()
     check_deadline = ctx.deadline is not None
     for clause in expr.clauses:
         ctx.check_deadline()
         if isinstance(clause, ast.ForClause):
-            tuples = _expand_for(clause, tuples, ctx)
+            tuples = _expand_for(clause, tuples, bare, ctx)
+            bound = (clause.var,)
+            if clause.position_var is not None:
+                bound += (clause.position_var,)
+            bare = bare_after(bare, bound, True)
         elif isinstance(clause, ast.LetClause):
             for bindings in tuples:
                 if check_deadline:
                     ctx.check_deadline()
-                scope = ctx.with_variables(bindings)
+                scope = ctx.with_tuple(bindings, bare)
                 value = evaluate(clause.value, scope)
                 if clause.declared_type is not None and not clause.declared_type.matches(value):
                     raise _error(
@@ -419,43 +425,45 @@ def _eval_flwor(expr: ast.FLWOR, ctx: DynamicContext) -> Sequence:
                         "XPTY0004",
                     )
                 bindings[clause.var] = value
+            bare = bare_after(bare, (clause.var,), False)
         elif isinstance(clause, ast.WhereClause):
             kept = []
             for bindings in tuples:
                 if check_deadline:
                     ctx.check_deadline()
-                scope = ctx.with_variables(bindings)
+                scope = ctx.with_tuple(bindings, bare)
                 if ebv(evaluate(clause.condition, scope), clause.condition, ctx):
                     kept.append(bindings)
             tuples = kept
         elif isinstance(clause, ast.OrderByClause):
-            tuples = _order_tuples(clause, tuples, ctx)
+            tuples = _order_tuples(clause, tuples, bare, ctx)
     result: Sequence = []
     for bindings in tuples:
         if check_deadline:
             ctx.check_deadline()
-        scope = ctx.with_variables(bindings)
+        scope = ctx.with_tuple(bindings, bare)
         result.extend(evaluate(expr.result, scope))
     return result
 
 
 def _expand_for(
     clause: ast.ForClause,
-    tuples: List[Dict[str, Sequence]],
+    tuples: List[Dict[str, object]],
+    bare: Tuple[str, ...],
     ctx: DynamicContext,
-) -> List[Dict[str, Sequence]]:
+) -> List[Dict[str, object]]:
     expanded = []
     check_deadline = ctx.deadline is not None
     for bindings in tuples:
         if check_deadline:
             ctx.check_deadline()
-        scope = ctx.with_variables(bindings)
+        scope = ctx.with_tuple(bindings, bare)
         source = evaluate(clause.source, scope)
         for position, item in enumerate(source, start=1):
             new_bindings = dict(bindings)
-            new_bindings[clause.var] = [item]
+            new_bindings[clause.var] = item
             if clause.position_var is not None:
-                new_bindings[clause.position_var] = [position]
+                new_bindings[clause.position_var] = position
             expanded.append(new_bindings)
     return expanded
 
@@ -509,15 +517,16 @@ class _OrderKey:
 
 def _order_tuples(
     clause: ast.OrderByClause,
-    tuples: List[Dict[str, Sequence]],
+    tuples: List[Dict[str, object]],
+    bare: Tuple[str, ...],
     ctx: DynamicContext,
-) -> List[Dict[str, Sequence]]:
+) -> List[Dict[str, object]]:
     decorated = []
     check_deadline = ctx.deadline is not None
     for index, bindings in enumerate(tuples):
         if check_deadline:
             ctx.check_deadline()
-        scope = ctx.with_variables(bindings)
+        scope = ctx.with_tuple(bindings, bare)
         keys = tuple(
             _OrderKey(evaluate(spec.key, scope), spec.descending, spec.empty_least)
             for spec in clause.specs

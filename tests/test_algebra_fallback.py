@@ -27,6 +27,7 @@ from repro.workloads import (
 )
 from repro.xmlio import serialize
 from repro.xquery import EngineConfig, TraceLog, XQueryEngine
+from repro.xquery.algebra.plans import EvalPlan
 
 TEMPLATES = {
     "list": lambda: simple_list_template("User"),
@@ -36,6 +37,10 @@ TEMPLATES = {
 }
 
 REGIMES = ("values", "exceptions")
+
+
+def _leaves(plan):
+    return [node for node in algebra._walk(plan) if isinstance(node, EvalPlan)]
 
 
 @pytest.fixture(scope="module")
@@ -80,7 +85,7 @@ class TestNoTreewalkOnTheFastPath:
         generator.generate(simple_list_template("User"))
         assert len(generator._compiled) == 5
         for query in generator._compiled.values():
-            leaves = algebra._eval_leaves(query.algebra.plan)
+            leaves = _leaves(query.algebra.plan)
             assert leaves
             assert all(leaf.thunk is not None for leaf in leaves)
 
@@ -91,7 +96,7 @@ class TestNoTreewalkOnTheFastPath:
         query = engine.compile(
             "declare variable $d external; for $n in $d/a/b return $n"
         )
-        assert not algebra._eval_leaves(query.algebra.plan)
+        assert not _leaves(query.algebra.plan)
         assert query.run(variables={"d": []}) == []
 
     def test_function_bodies_compile_on_first_call(self, monkeypatch):

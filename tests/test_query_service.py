@@ -215,6 +215,24 @@ class TestClose:
         model.nodes_of_type("User")[0].set("firstName", "After")
         assert not service._backend._exporter._has_pending()
 
+    def test_closed_service_refuses_work(self, model):
+        service = QueryService(model)
+        query = parse_query_xml(ALL_USERS)
+        service.run(query)
+        service.close()
+        # the exporter no longer follows the model, so answering would mean
+        # answering from a stale export.
+        model.nodes_of_type("User")[0].set("firstName", "After")
+        with pytest.raises(RuntimeError, match="closed"):
+            service.run(query)
+        with pytest.raises(RuntimeError, match="closed"):
+            service.run_batch([query])
+        with pytest.raises(RuntimeError, match="closed"):
+            service.explain(query)
+        with pytest.raises(RuntimeError, match="closed"):
+            service.apply_update('insert node Document with (label "d")')
+        assert service.metrics()["queries"] == 1
+
     def test_native_backend_close_is_harmless(self, model):
         before = len(model._listeners)
         QueryService(model, backend="native").close()
